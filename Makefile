@@ -54,9 +54,9 @@ bench-smoke:
 net-smoke:
 	go run ./cmd/concord-bench -short -scenarios live_net -outdir bench-out
 	go run ./cmd/concord-bench -compare -hermetic BENCH_live_net.json bench-out/BENCH_live_net.json
-	# Task-pooling floor: allocs/req must stay strictly below the
-	# pre-pooling baselines (text 8.15, binary 7.33) no matter what the
-	# checked-in baseline drifts to.
-	go run ./cmd/concord-bench -assert bench-out/BENCH_live_net.json 'allocs_per_req_text<8.15' 'allocs_per_req_binary<7.33'
+	# Absolute allocs/req floors, whatever the checked-in baseline
+	# drifts to: the 5-rep baselines (text 3.17, binary 2.72) plus their
+	# noise band (-short binary runs read 2.69-2.72, CI95 up to ±0.24).
+	go run ./cmd/concord-bench -assert bench-out/BENCH_live_net.json 'allocs_per_req_text<3.25' 'allocs_per_req_binary<2.85'
 
 .PHONY: tier1 race vet bench obs-smoke bench-json bench-smoke net-smoke

@@ -62,7 +62,6 @@ func newTestObsSharded(t *testing.T, shards int) *testEnv {
 	srv := live.New(&netsrv.KVHandler{Store: kv.New(), ScanBatch: 64}, live.Options{
 		Workers:         workers,
 		Shards:          shards,
-		PinThreads:      false,
 		Tracer:          tracer,
 		Tail:            tail,
 		Adaptive:        true,

@@ -112,7 +112,6 @@ func run(name string, quantum time.Duration, shards int, policy string) {
 		Quantum:        quantum,
 		QueueBound:     2,
 		WorkConserving: true,
-		PinThreads:     false,
 		CoopTimeshare:  16, // scans poll coarsely; timeshare aggressively
 	})
 	srv.Start()

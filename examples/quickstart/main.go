@@ -35,7 +35,6 @@ func run(name string, quantum time.Duration, workConserving bool) float64 {
 		Quantum:        quantum,
 		QueueBound:     2,
 		WorkConserving: workConserving,
-		PinThreads:     false,
 	})
 	srv.Start()
 	defer srv.Stop()

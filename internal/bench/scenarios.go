@@ -178,9 +178,6 @@ func runLive() (map[string]float64, error) {
 	s := live.New(benchSpin{}, live.Options{
 		Workers: liveWorkers,
 		Quantum: liveQuantum,
-		// Unpinned so repetitions coexist with the test runner and CI
-		// containers that have fewer cores than runtime threads.
-		PinThreads: false,
 	})
 	s.Start()
 	defer s.Stop()
@@ -281,10 +278,9 @@ func runLiveSharded() (map[string]float64, error) {
 // count and returns its throughput plus the raw allocation tally.
 func runShardedPoint(shards int) (rps float64, mallocs, requests uint64, err error) {
 	s := live.New(benchSpin{}, live.Options{
-		Workers:    shardedWorkers,
-		Shards:     shards,
-		Quantum:    shardedQuantum,
-		PinThreads: false,
+		Workers: shardedWorkers,
+		Shards:  shards,
+		Quantum: shardedQuantum,
 	})
 	s.Start()
 	defer s.Stop()

@@ -178,10 +178,9 @@ func runLiveAdaptive() (map[string]float64, error) {
 // returned too.
 func runAdaptiveSweep(policy string, quantum time.Duration, adaptive bool) ([]float64, uint64, error) {
 	opts := live.Options{
-		Workers:    adaptiveWorkers,
-		Policy:     policy,
-		Quantum:    quantum,
-		PinThreads: false,
+		Workers: adaptiveWorkers,
+		Policy:  policy,
+		Quantum: quantum,
 	}
 	var (
 		tail *obs.TailTracker

@@ -151,7 +151,6 @@ func mtMeasureCapacity() (float64, error) {
 		Workers:      mtWorkers,
 		Quantum:      mtQuantum,
 		SubmitBuffer: mtSubmitBuffer,
-		PinThreads:   false,
 	})
 	s.Start()
 	defer s.Stop()
@@ -213,7 +212,6 @@ func mtOverloadRun(rate float64, classed bool) (*mtRunResult, error) {
 		Workers:      mtWorkers,
 		Quantum:      mtQuantum,
 		SubmitBuffer: mtSubmitBuffer,
-		PinThreads:   false,
 	}
 	if classed {
 		opts.Policy = live.PolicyCascade
@@ -282,7 +280,6 @@ func mtDisabledOverhead() (float64, error) {
 			Workers:      mtWorkers,
 			Quantum:      mtQuantum,
 			SubmitBuffer: mtSubmitBuffer,
-			PinThreads:   false,
 		}
 		if enabled {
 			slos := make([]obs.ClassSLO, live.NumClasses)

@@ -143,8 +143,7 @@ func runNetPoint(conns, depth, reqs int) (rps, p99, p999, allocsPerReq float64, 
 	store := kv.New()
 	seedStore(store)
 	rt := live.New(&netsrv.KVHandler{Store: store, ScanBatch: 256}, live.Options{
-		Workers:    2,
-		PinThreads: false,
+		Workers: 2,
 	})
 	rt.Start()
 	defer rt.Stop()

@@ -305,7 +305,7 @@ func TestSRPTShardedMixInvariants(t *testing.T) {
 func TestPolicyFlipChaos(t *testing.T) {
 	o := Options{Workers: 4, Shards: 2, Quantum: 100 * time.Microsecond,
 		QueueBound: 2, Adaptive: true, WorkConserving: true,
-		DrainTimeout: 500 * time.Millisecond, PinThreads: false}
+		DrainTimeout: 500 * time.Millisecond}
 	s := New(chaosHandler{}, o)
 	s.Start()
 

@@ -90,13 +90,13 @@ func TestChaosLifecycle(t *testing.T) {
 		opts Options
 	}{
 		{"k1-steal", Options{Workers: 1, Quantum: 100 * time.Microsecond, QueueBound: 1,
-			WorkConserving: true, DrainTimeout: 500 * time.Millisecond, PinThreads: false}},
+			WorkConserving: true, DrainTimeout: 500 * time.Millisecond}},
 		{"w4", Options{Workers: 4, Quantum: 100 * time.Microsecond, QueueBound: 2,
-			DrainTimeout: 500 * time.Millisecond, PinThreads: false}},
+			DrainTimeout: 500 * time.Millisecond}},
 		{"no-preempt", Options{Workers: 2, Quantum: 0,
-			DrainTimeout: 500 * time.Millisecond, PinThreads: false}},
+			DrainTimeout: 500 * time.Millisecond}},
 		{"tiny-buffer", Options{Workers: 2, Quantum: 50 * time.Microsecond, SubmitBuffer: 4,
-			DrainTimeout: 500 * time.Millisecond, PinThreads: false}},
+			DrainTimeout: 500 * time.Millisecond}},
 	}
 
 	for _, cfg := range configs {
@@ -179,7 +179,6 @@ func TestChaosSheddingOverloadStop(t *testing.T) {
 				SubmitBuffer:   8,
 				ClassAdmission: true,
 				DrainTimeout:   500 * time.Millisecond,
-				PinThreads:     false,
 			})
 			s.Start()
 
@@ -276,7 +275,7 @@ func TestChaosSheddingOverloadStop(t *testing.T) {
 // TestChaosRepeatedStopIdempotent: concurrent and repeated Stops are
 // safe and all return.
 func TestChaosRepeatedStopIdempotent(t *testing.T) {
-	s := New(chaosHandler{}, Options{Workers: 2, Quantum: 100 * time.Microsecond, PinThreads: false})
+	s := New(chaosHandler{}, Options{Workers: 2, Quantum: 100 * time.Microsecond})
 	s.Start()
 	for i := 0; i < 20; i++ {
 		s.Submit(chaosReq{kind: "spin", d: 100 * time.Microsecond})

@@ -6,10 +6,16 @@
 // and runs requests itself under time-based self-preemption when every
 // local queue is full (§3.3). One shard is exactly the paper's single
 // dispatcher.
+//
+// The paper gives its dispatcher a dedicated spinning core. A goroutine
+// that spins on Gosched instead keeps the Go scheduler from polling the
+// network, so a dispatcher spins only while its shard has work, and
+// parks once the shard is fully drained (see park).
 package live
 
 import (
 	"runtime"
+	"sync/atomic"
 	"time"
 
 	"concord/internal/obs"
@@ -20,6 +26,13 @@ import (
 // requests reach a CPU within a fraction of the normal quantum instead
 // of a full one.
 const critQuantumShrink = 4
+
+// parkSpins is how many consecutive idle loop iterations a drained
+// shard's dispatcher yields through before it parks. A few dozen
+// Gosched rounds cover the gap between back-to-back pipelined requests,
+// so those skip the park/unpark hand-off; longer idle gaps park and
+// leave the CPU to the netpoller and the workers.
+const parkSpins = 64
 
 // shard is one dispatcher: policy queue, ingress buffer, worker subset,
 // and the work-conserving executor state.
@@ -43,16 +56,21 @@ type shard struct {
 	// at the top of the iteration (a quiesce point: no dispatch
 	// decision is in flight).
 	polEpoch uint64
-	done     chan struct{} // this shard's dispatcher exited
+	// wake (capacity 1) unparks the dispatcher for events that do not
+	// arrive through submit: Stop, the drain-deadline abort, SetPolicy,
+	// and a backlogged sibling that wants it to steal.
+	wake chan struct{}
+	// parked is set while the dispatcher is (about to be) blocked in
+	// park. A backlogged sibling claims it (true→false) before sending
+	// on wake, so each backlogged iteration unparks a different shard.
+	parked atomic.Bool
+	done   chan struct{} // this shard's dispatcher exited
 }
 
 func (s *Server) dispatcherLoop(sh *shard) {
-	if s.opts.PinThreads {
-		runtime.LockOSThread()
-		defer runtime.UnlockOSThread()
-	}
 	s.handler.SetupWorker(sh.ex.id)
 	multi := len(s.shards) > 1
+	idle := 0 // consecutive iterations without progress
 
 	for {
 		progress := false
@@ -76,13 +94,7 @@ func (s *Server) dispatcherLoop(sh *shard) {
 		for i := 0; i < 64; i++ {
 			select {
 			case t := <-sh.submit:
-				if s.tr != nil {
-					if t.enqueueTS.IsZero() {
-						t.enqueueTS = time.Now()
-					}
-					s.tr.Record(sh.writer, obs.EvEnqueueCentral, t.id, 0)
-				}
-				sh.q.Push(t)
+				s.ingest(sh, t)
 				progress = true
 				continue
 			default:
@@ -95,11 +107,11 @@ func (s *Server) dispatcherLoop(sh *shard) {
 			// and signal every running local request so it parks (and is
 			// then failed by its worker) at its next Poll.
 			for i, w := range sh.workers {
-				if info := s.running[w].Load(); info != nil {
-					s.workers[w].flag.Store(info.epoch)
-					if s.tr != nil && info.epoch != sh.lastFlagged[i] {
-						sh.lastFlagged[i] = info.epoch
-						s.tr.Record(sh.writer, obs.EvPreemptSignal, info.id, int64(w))
+				if epoch, id, _, _ := s.running[w].get(); epoch != 0 {
+					s.workers[w].flag.Store(epoch)
+					if s.tr != nil && epoch != sh.lastFlagged[i] {
+						sh.lastFlagged[i] = epoch
+						s.tr.Record(sh.writer, obs.EvPreemptSignal, id, int64(w))
 					}
 				}
 			}
@@ -121,30 +133,30 @@ func (s *Server) dispatcherLoop(sh *shard) {
 			baseQ := time.Duration(s.quantum.Load())
 			classed := s.classed.Load()
 			if baseQ > 0 || classed {
-				now := time.Now()
+				now := time.Since(s.base)
 				critWaiting := classed && sh.q.CriticalLen() > 0
 				for i, w := range sh.workers {
-					info := s.running[w].Load()
-					if info == nil || info.epoch == sh.lastFlagged[i] {
+					epoch, id, start, class := s.running[w].get()
+					if epoch == 0 || epoch == sh.lastFlagged[i] {
 						continue
 					}
 					q := baseQ
 					if classed {
-						if cq := s.classQuanta[info.class].Load(); cq > 0 {
+						if cq := s.classQuanta[class].Load(); cq > 0 {
 							q = time.Duration(cq)
 						}
-						if critWaiting && SLOClass(info.class) != ClassCritical {
+						if critWaiting && SLOClass(class) != ClassCritical {
 							q /= critQuantumShrink
 						}
 					}
 					if q <= 0 {
 						continue
 					}
-					if now.Sub(info.start) >= q {
-						s.workers[w].flag.Store(info.epoch)
-						sh.lastFlagged[i] = info.epoch
+					if now-start >= q {
+						s.workers[w].flag.Store(epoch)
+						sh.lastFlagged[i] = epoch
 						if s.tr != nil {
-							s.tr.Record(sh.writer, obs.EvPreemptSignal, info.id, int64(w))
+							s.tr.Record(sh.writer, obs.EvPreemptSignal, id, int64(w))
 						}
 						progress = true
 					}
@@ -188,6 +200,12 @@ func (s *Server) dispatcherLoop(sh *shard) {
 				s.locals[w] <- t
 				progress = true
 			}
+			// Work left queued means every local worker is full: hand
+			// it to a parked sibling, which would otherwise sleep through
+			// a backlog its own workers could take.
+			if multi && sh.q.Len() > 0 {
+				s.wakeSibling(sh)
+			}
 
 			// 4. Work conservation (also during graceful drain — the
 			// dispatcher helping finishes the backlog sooner).
@@ -207,12 +225,80 @@ func (s *Server) dispatcherLoop(sh *shard) {
 			}
 		}
 
-		if s.stopped.Load() && s.drained(sh) {
+		// stopped is read before drained: once it reads true, every
+		// accepted submission is already in an ingress buffer.
+		stopped := s.stopped.Load()
+		if stopped && s.drained(sh) {
 			close(sh.done)
 			return
 		}
-		if !progress {
-			runtime.Gosched()
+		if progress {
+			idle = 0
+			continue
+		}
+		// Park only while not stopped: Stop's wake is then still
+		// pending for this park, while a stopping dispatcher keeps
+		// spinning until its drain completes.
+		if idle++; idle >= parkSpins && !stopped && s.drained(sh) {
+			idle = 0
+			s.park(sh)
+			continue
+		}
+		runtime.Gosched()
+	}
+}
+
+// ingest moves one submission from the shard's ingress buffer into its
+// central queue.
+func (s *Server) ingest(sh *shard, t *task) {
+	if s.tr != nil {
+		if t.enqueueTS.IsZero() {
+			t.enqueueTS = time.Now()
+		}
+		s.tr.Record(sh.writer, obs.EvEnqueueCentral, t.id, 0)
+	}
+	sh.q.Push(t)
+}
+
+// park blocks a drained shard's dispatcher until a submission or a wake
+// arrives. Nothing runs on a drained shard's workers, so no quantum,
+// deadline or JBSQ slot needs watching meanwhile. No wake-up is lost:
+// the ingress buffer is itself the wake condition, so a Submit that
+// lands after the drained check is still there for the select.
+func (s *Server) park(sh *shard) {
+	sh.parked.Store(true)
+	select {
+	case t := <-sh.submit:
+		s.ingest(sh, t)
+	case <-sh.wake:
+	}
+	sh.parked.Store(false)
+}
+
+// signal wakes the shard's dispatcher if it is parked, or makes its
+// next park return at once. It never blocks.
+func (sh *shard) signal() {
+	select {
+	case sh.wake <- struct{}{}:
+	default:
+	}
+}
+
+// wakeAll signals every shard's dispatcher.
+func (s *Server) wakeAll() {
+	for _, sh := range s.shards {
+		sh.signal()
+	}
+}
+
+// wakeSibling unparks one parked sibling of sh so it can steal. It
+// runs on every backlogged iteration, so it loads before it swaps: a
+// failing compare-and-swap still takes the sibling's cache line.
+func (s *Server) wakeSibling(sh *shard) {
+	for _, sib := range s.shards {
+		if sib != sh && sib.parked.Load() && sib.parked.CompareAndSwap(true, false) {
+			sib.signal()
+			return
 		}
 	}
 }
@@ -360,17 +446,24 @@ func (s *Server) expire(sh *shard, t *task) {
 }
 
 // drained reports whether this shard has no pending work anywhere:
-// ingress, central queue, saved slot, or local worker queues. A stolen
+// local worker queues, ingress, central queue, or saved slot. A stolen
 // task never floats unaccounted between shards (see steal), so every
 // shard observing its own drain implies the server has drained.
+//
+// Occupancy is read first. A worker re-submitting a preempted task
+// holds its occupancy until the send completes, so once every count
+// reads 0 the task is already in the ingress buffer. Read the other way
+// round, a requeue landing between the two reads was missed: the
+// dispatcher saw an empty buffer, then an idle worker, and shut down
+// with the task still buffered.
 func (s *Server) drained(sh *shard) bool {
-	if len(sh.submit) > 0 || sh.q.Len() > 0 || sh.saved != nil {
-		return false
-	}
 	for _, w := range sh.workers {
 		if s.occ[w].Load() != 0 {
 			return false
 		}
 	}
-	return true
+	if testDrainedGate != nil {
+		testDrainedGate()
+	}
+	return len(sh.submit) == 0 && sh.q.Len() == 0 && sh.saved == nil
 }

@@ -43,12 +43,9 @@ type executor struct {
 
 func (s *Server) workerLoop(w int) {
 	defer s.wg.Done()
-	if s.opts.PinThreads {
-		runtime.LockOSThread()
-		defer runtime.UnlockOSThread()
-	}
 	s.handler.SetupWorker(w)
 	ex := s.workers[w]
+	slot := &s.running[w]
 	var epoch uint64
 	for t := range s.locals[w] {
 		if s.abort.Load() {
@@ -71,7 +68,7 @@ func (s *Server) workerLoop(w int) {
 		epoch++ // epochs start at 1; flag value 0 means "no signal"
 		ex.epoch = epoch
 		now := time.Now()
-		s.running[w].Store(&runInfo{epoch: epoch, id: t.id, start: now, class: t.class})
+		slot.set(epoch, t.id, now.Sub(s.base), t.class)
 		first := !t.started
 		if !t.started {
 			t.started = true
@@ -95,7 +92,7 @@ func (s *Server) workerLoop(w int) {
 		}
 		t.resume <- ex
 		ev := <-t.parked
-		s.running[w].Store(nil)
+		slot.epoch.Store(0)
 		if track {
 			t.runNS += int64(time.Since(t.runStart))
 		}

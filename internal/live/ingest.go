@@ -99,12 +99,18 @@ func (s *Server) submit(payload any, ch chan Response, done func(Response)) {
 	// Snapshot the fields needed after enqueue: the moment enqueue
 	// succeeds a worker may complete the task and release it to the
 	// pool, so touching t again would race with its reset.
-	id, class := t.id, t.class
+	id, class, arrival := t.id, t.class, t.arrival
 	if s.enqueue(t) {
 		s.stats.submitted.Add(1)
 		s.stats.classSubmitted[class].Add(1)
+		if testEnqueuedGate != nil {
+			testEnqueuedGate()
+		}
 		if s.tr != nil {
-			s.tr.Record(obs.WriterClient, obs.EvSubmit, id, 0)
+			// Stamped at arrival, not now: the dispatcher and a worker
+			// may already have recorded enqueue, start and completion,
+			// and a submit event after them would count ingress twice.
+			s.tr.RecordAt(obs.WriterClient, obs.EvSubmit, id, 0, arrival)
 		}
 		s.submitMu.RUnlock()
 	} else {

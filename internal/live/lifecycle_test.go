@@ -397,3 +397,34 @@ func TestGracefulStopCompletesAccepted(t *testing.T) {
 		t.Fatalf("stats = %+v, want 50/50", st)
 	}
 }
+
+// TestDrainedSeesInFlightRequeue is the deterministic regression test
+// for the lost-requeue race: a worker re-submitting a preempted task
+// sends it to the ingress buffer and only then releases its occupancy.
+// The gate lands that whole requeue between drained's two reads. When
+// drained read the buffer first, it saw an empty buffer and then an
+// idle worker, and a stopping dispatcher exited with the task still
+// buffered. Reading occupancy first, the in-flight requeue keeps the
+// shard busy, and the buffered task does once it lands.
+func TestDrainedSeesInFlightRequeue(t *testing.T) {
+	s := New(&spinHandler{}, testOptions(1, 0)) // never started: the test plays both sides
+	sh := s.shards[0]
+	s.occ[0].Store(1) // the worker holds a preempted task
+	requeue := func() {
+		testDrainedGate = nil
+		sh.submit <- newTask()
+		s.occ[0].Add(-1)
+	}
+	testDrainedGate = requeue
+	defer func() { testDrainedGate = nil }()
+
+	if s.drained(sh) {
+		t.Fatal("shard reported drained while a worker was re-submitting a task")
+	}
+	if testDrainedGate != nil {
+		requeue() // the gate was not reached: complete the requeue now
+	}
+	if s.drained(sh) {
+		t.Fatal("shard reported drained with a re-submitted task in its ingress buffer")
+	}
+}

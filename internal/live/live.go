@@ -1,5 +1,5 @@
 // Package live is a working Go implementation of the Concord runtime: a
-// dispatcher thread plus pinned worker threads serving µs-to-ms-scale
+// dispatcher goroutine plus worker goroutines serving µs-to-ms-scale
 // requests with
 //
 //   - cooperative preemption via per-worker padded atomic flags that
@@ -121,8 +121,7 @@ func ValidPolicy(name string) bool {
 
 // Options configures a Server.
 type Options struct {
-	// Workers is the number of worker goroutines (each pinned to an OS
-	// thread). Default 2.
+	// Workers is the number of worker goroutines. Default 2.
 	Workers int
 	// Shards is the number of dispatcher shards. Each shard owns a
 	// disjoint contiguous subset of the workers and runs its own
@@ -169,13 +168,12 @@ type Options struct {
 	// request before checking for dispatcher duties. Default: Quantum,
 	// or 100µs if Quantum is 0.
 	DispatcherSlice time.Duration
-	// PinThreads locks workers and dispatchers to OS threads. Default
-	// true; tests disable it to run many servers concurrently.
-	PinThreads bool
 	// CoopTimeshare makes request code call runtime.Gosched every N
 	// polls so the dispatchers and workers make progress when there are
-	// fewer CPUs than runtime threads (a dispatcher otherwise starves
-	// and preemption flags are never written). 0 auto-detects from
+	// fewer CPUs than runtime threads. Only a dispatcher whose shard has
+	// requests running or queued competes for a CPU (a drained shard's
+	// dispatcher parks), and without a timeslice it cannot write the
+	// preemption flags those requests need. 0 auto-detects from
 	// GOMAXPROCS; negative disables.
 	CoopTimeshare int
 	// SubmitBuffer is the per-shard ingress channel capacity. Default
@@ -386,9 +384,11 @@ const cacheLinePad = 64
 // wide (and unobservable on single-CPU machines) so the lifecycle
 // regression tests can exercise them deterministically.
 var (
-	testSubmitGate  func() // between Submit's stop check and its enqueue
-	testRequeueGate func() // between a preemption park and its re-submit
-	testStealGate   func() // between a steal's pop and its local dispatch
+	testSubmitGate   func() // between Submit's stop check and its enqueue
+	testEnqueuedGate func() // between Submit's enqueue and its submit event
+	testRequeueGate  func() // between a preemption park and its re-submit
+	testStealGate    func() // between a steal's pop and its local dispatch
+	testDrainedGate  func() // between drained's occupancy and buffer reads
 )
 
 // Server is a running Concord scheduling runtime.
@@ -400,8 +400,10 @@ type Server struct {
 	locals  []chan *task
 	occ     []atomic.Int32 // per-worker occupancy incl. in-service
 	workers []*executor
-	running []atomic.Pointer[runInfo]
-	shardOf []int // worker index → owning shard
+	running []runSlot // per-worker current slice, read by dispatchers
+	shardOf []int     // worker index → owning shard
+	// base anchors the monotonic slice-start offsets in runSlot.
+	base time.Time
 
 	// tr is Options.Tracer, kept as a concrete pointer so the disabled
 	// path is one nil-check branch per event site. comp is the composed
@@ -502,8 +504,9 @@ func New(h Handler, opts Options) *Server {
 		locals:  make([]chan *task, opts.Workers),
 		occ:     make([]atomic.Int32, opts.Workers),
 		workers: make([]*executor, opts.Workers),
-		running: make([]atomic.Pointer[runInfo], opts.Workers),
+		running: make([]runSlot, opts.Workers),
 		shardOf: make([]int, opts.Workers),
+		base:    time.Now(),
 	}
 	// The estimator sinks need measured service times, submitted hints
 	// (for hint-error attribution and replay), and scheduling classes.
@@ -554,6 +557,7 @@ func New(h Handler, opts Options) *Server {
 			q:      q,
 			submit: make(chan *task, opts.SubmitBuffer),
 			ex:     &executor{id: -(sid + 1), writer: obs.DispatcherWriter(sid)},
+			wake:   make(chan struct{}, 1),
 			done:   make(chan struct{}),
 		}
 		// Contiguous worker partition: shard i owns [i·W/S, (i+1)·W/S).
@@ -595,6 +599,7 @@ func (s *Server) Stop() {
 		s.stopping = true
 		s.submitMu.Unlock()
 		s.stopped.Store(true)
+		s.wakeAll()
 		if !s.started.Load() {
 			return // never started: nothing to drain
 		}
@@ -612,6 +617,7 @@ func (s *Server) Stop() {
 				timer.Stop()
 			case <-timer.C:
 				s.abort.Store(true)
+				s.wakeAll()
 				<-allDone
 			}
 		} else {
@@ -768,6 +774,7 @@ func (s *Server) SetPolicy(name string) error {
 		s.classed.Store(true)
 	}
 	s.polState.Store(&policyState{epoch: cur.epoch + 1, name: name})
+	s.wakeAll() // a parked dispatcher swaps its queue now, not at its next submission
 	return nil
 }
 

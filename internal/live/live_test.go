@@ -32,7 +32,6 @@ func testOptions(workers int, quantum time.Duration) Options {
 		Workers:    workers,
 		Quantum:    quantum,
 		QueueBound: 2,
-		PinThreads: false, // tests run many servers; don't hog OS threads
 	}
 }
 

@@ -203,3 +203,44 @@ func TestTracerWorkerMismatchPanics(t *testing.T) {
 	}()
 	New(&spinHandler{}, Options{Workers: 2, Tracer: obs.NewTracer(3, 64)})
 }
+
+// TestSubmitEventStampedAtArrival is the regression test for the
+// double-counted ingress: the gate holds the submitter between its
+// enqueue and its submit event until the request has completed. A
+// submit event stamped when it is recorded then trails enqueue, start
+// and completion, the analyzer loses the request's start and its
+// components no longer sum to the total. Stamped at arrival, the event
+// leads the sequence however late it is recorded.
+func TestSubmitEventStampedAtArrival(t *testing.T) {
+	completed := make(chan struct{})
+	testEnqueuedGate = func() {
+		select {
+		case <-completed:
+		case <-time.After(10 * time.Second):
+		}
+	}
+	defer func() { testEnqueuedGate = nil }()
+
+	opts := tracedOptions(1, 0, 1024)
+	s := New(&spinHandler{}, opts)
+	s.Start()
+	defer s.Stop()
+	s.SubmitFunc(10*time.Microsecond, func(Response) { close(completed) })
+	select {
+	case <-completed:
+	default:
+		t.Fatal("request did not complete while its submitter was held")
+	}
+
+	bs := obs.Analyze(opts.Tracer.Snapshot())
+	if len(bs) != 1 {
+		t.Fatalf("analyzed %d requests, want 1", len(bs))
+	}
+	b := bs[0]
+	if b.Partial {
+		t.Fatal("submit event does not lead the request's events")
+	}
+	if gap := math.Abs(b.SumUS() - b.TotalUS()); gap > 0.01*b.TotalUS() {
+		t.Fatalf("components sum %.3f != total %.3f", b.SumUS(), b.TotalUS())
+	}
+}

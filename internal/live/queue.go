@@ -62,7 +62,8 @@ func (c *centralQueue) Len() int { return int(c.length.Load()) }
 func (c *centralQueue) CriticalLen() int { return int(c.critical.Load()) }
 
 // Push enqueues t. The caller must have finished all writes to the
-// task: once inside, a sibling shard may pop it.
+// task: once inside, a sibling shard may pop it — and run, complete and
+// recycle it — so t is not touched after the unlock.
 func (c *centralQueue) Push(t *task) {
 	c.mu.Lock()
 	t.inQueue = true
@@ -71,11 +72,11 @@ func (c *centralQueue) Push(t *task) {
 		t.inDL = true
 		c.dlPush(dlEntry{at: t.deadline, t: t})
 	}
-	c.mu.Unlock()
 	c.length.Add(1)
 	if SLOClass(t.class) == ClassCritical {
 		c.critical.Add(1)
 	}
+	c.mu.Unlock()
 }
 
 // Pop removes and returns the next live task per the discipline,

@@ -107,12 +107,12 @@ func TestShardedChaosLifecycle(t *testing.T) {
 		opts Options
 	}{
 		{"shards-2", Options{Workers: 4, Shards: 2, Quantum: 100 * time.Microsecond, QueueBound: 2,
-			DrainTimeout: 500 * time.Millisecond, PinThreads: false}},
+			DrainTimeout: 500 * time.Millisecond}},
 		{"shards-4", Options{Workers: 4, Shards: 4, Quantum: 100 * time.Microsecond, QueueBound: 1,
-			WorkConserving: true, DrainTimeout: 500 * time.Millisecond, PinThreads: false}},
+			WorkConserving: true, DrainTimeout: 500 * time.Millisecond}},
 		{"shards-2-srpt", Options{Workers: 4, Shards: 2, Policy: PolicySRPT,
 			Quantum: 100 * time.Microsecond, QueueBound: 2,
-			DrainTimeout: 500 * time.Millisecond, PinThreads: false}},
+			DrainTimeout: 500 * time.Millisecond}},
 	}
 	for _, cfg := range configs {
 		t.Run(cfg.name, func(t *testing.T) {
@@ -272,7 +272,7 @@ func TestFCFSIgnoresHints(t *testing.T) {
 func TestWorkStealingRacingStop(t *testing.T) {
 	h := &blockingHandler{release: make(chan struct{})}
 	o := Options{Workers: 2, Shards: 2, QueueBound: 1,
-		DrainTimeout: 5 * time.Second, PinThreads: false}
+		DrainTimeout: 5 * time.Second}
 
 	var stealOnce sync.Once
 	stealSeen := make(chan struct{})
@@ -363,7 +363,7 @@ func TestWorkStealingRacingStop(t *testing.T) {
 func TestStealKeepsThroughputWhenOneShardStalls(t *testing.T) {
 	h := &blockingHandler{release: make(chan struct{})}
 	s := New(h, Options{Workers: 2, Shards: 2, QueueBound: 1,
-		DrainTimeout: 5 * time.Second, PinThreads: false})
+		DrainTimeout: 5 * time.Second})
 	s.Start()
 
 	// Stall both workers, queue work, then free only one.

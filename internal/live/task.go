@@ -5,6 +5,7 @@ package live
 
 import (
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"concord/internal/sim"
@@ -281,15 +282,44 @@ func (t *task) RemainingCycles() sim.Cycles {
 // handler; startTask's recover converts it to a Response error.
 type taskAbort struct{ err error }
 
-// runInfo is the per-worker "currently running" record a dispatcher
-// reads to detect expired quanta.
-type runInfo struct {
-	epoch uint64
-	id    uint64 // request id, for preempt-signal attribution
-	start time.Time
+// runSlot is a worker's preallocated "currently running" record, read
+// by its shard's dispatcher to detect expired quanta. The worker writes
+// start, id and class before it publishes epoch, and zeroes epoch when
+// the slice ends; the dispatcher reads epoch first and again after the
+// other fields, so it acts only on a consistent snapshot. A slot that
+// changes under the reader costs at most one loop iteration of delay,
+// never an early signal, and a signal carrying a stale epoch is inert
+// anyway (see executor.flag).
+type runSlot struct {
+	epoch atomic.Uint64 // 0 while the worker is between slices
+	id    atomic.Uint64 // request id, for preempt-signal attribution
+	start atomic.Int64  // slice start, ns since Server.base
 	// class selects the effective quantum at signal time when per-class
 	// quanta are configured.
-	class uint8
+	class atomic.Uint32
+	_     [cacheLinePad - 28]byte
+}
+
+// set publishes a new slice: fields first, epoch last.
+func (r *runSlot) set(epoch, id uint64, start time.Duration, class uint8) {
+	r.start.Store(int64(start))
+	r.id.Store(id)
+	r.class.Store(uint32(class))
+	r.epoch.Store(epoch)
+}
+
+// get returns the running slice; epoch is 0 when the worker is between
+// slices or the slot changed while it was being read.
+func (r *runSlot) get() (epoch, id uint64, start time.Duration, class uint8) {
+	epoch = r.epoch.Load()
+	if epoch == 0 {
+		return 0, 0, 0, 0
+	}
+	id, start, class = r.id.Load(), time.Duration(r.start.Load()), uint8(r.class.Load())
+	if r.epoch.Load() != epoch {
+		return 0, 0, 0, 0
+	}
+	return epoch, id, start, class
 }
 
 // breakdown attributes the sojourn to components from the task's

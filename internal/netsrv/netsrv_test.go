@@ -23,8 +23,7 @@ func newTestServer(t *testing.T, opts Options) (*Server, net.Listener) {
 		store.Put([]byte(fmt.Sprintf("key%03d", i)), []byte("value"))
 	}
 	rt := live.New(&KVHandler{Store: store, ScanBatch: 64}, live.Options{
-		Workers:    2,
-		PinThreads: false,
+		Workers: 2,
 	})
 	rt.Start()
 	s := New(rt, opts)
@@ -408,7 +407,7 @@ func TestFanInExactlyOneResponse(t *testing.T) {
 // are answered STOPPED (binary: StStopped), not dropped.
 func TestDrainAnswersStopped(t *testing.T) {
 	store := kv.New()
-	rt := live.New(&KVHandler{Store: store}, live.Options{Workers: 1, PinThreads: false})
+	rt := live.New(&KVHandler{Store: store}, live.Options{Workers: 1})
 	rt.Start()
 	s := New(rt, Options{})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -525,7 +524,6 @@ func TestBinaryShedOnWire(t *testing.T) {
 		Workers:        1,
 		SubmitBuffer:   4,
 		ClassAdmission: true,
-		PinThreads:     false,
 	})
 	rt.Start()
 	s := New(rt, Options{})

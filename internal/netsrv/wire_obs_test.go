@@ -73,8 +73,12 @@ func TestWireObservabilityPartition(t *testing.T) {
 		recvd++
 	}
 
-	// Every response read by the client was flushed first, so the
-	// snapshot already holds each request's terminal EvFlushed.
+	// The flusher records EvFlushed after its write returns, so the
+	// client can read a response before its event exists. Closing the
+	// connection and draining waits out every flusher, so the snapshot
+	// holds each request's terminal EvFlushed.
+	conn.Close()
+	s.Drain(time.Second)
 	breakdowns := obs.Analyze(tracer.Snapshot())
 	complete := 0
 	for _, b := range breakdowns {
