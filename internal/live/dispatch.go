@@ -34,6 +34,10 @@ const critQuantumShrink = 4
 // leave the CPU to the netpoller and the workers.
 const parkSpins = 64
 
+// osYieldEvery is how many idle loop iterations pass between the OS
+// yields a dispatcher makes while a signalled request is overdue.
+const osYieldEvery = 8
+
 // shard is one dispatcher: policy queue, ingress buffer, worker subset,
 // and the work-conserving executor state.
 type shard struct {
@@ -74,6 +78,7 @@ func (s *Server) dispatcherLoop(sh *shard) {
 
 	for {
 		progress := false
+		overdue := false // a signalled request has not yielded a quantum on
 		aborting := s.abort.Load()
 
 		// 0. Policy swap: when the control plane has retargeted the
@@ -137,7 +142,7 @@ func (s *Server) dispatcherLoop(sh *shard) {
 				critWaiting := classed && sh.q.CriticalLen() > 0
 				for i, w := range sh.workers {
 					epoch, id, start, class := s.running[w].get()
-					if epoch == 0 || epoch == sh.lastFlagged[i] {
+					if epoch == 0 {
 						continue
 					}
 					q := baseQ
@@ -150,6 +155,11 @@ func (s *Server) dispatcherLoop(sh *shard) {
 						}
 					}
 					if q <= 0 {
+						continue
+					}
+					if epoch == sh.lastFlagged[i] {
+						// Signalled, and still running a quantum later.
+						overdue = overdue || now-start >= 2*q
 						continue
 					}
 					if now-start >= q {
@@ -245,6 +255,12 @@ func (s *Server) dispatcherLoop(sh *shard) {
 			continue
 		}
 		runtime.Gosched()
+		// A signalled request that has not yielded a quantum later is
+		// most likely on a thread queued behind this one on the same
+		// CPU, which Gosched cannot reach (see osYield).
+		if overdue && idle%osYieldEvery == 0 {
+			osYield()
+		}
 	}
 }
 
