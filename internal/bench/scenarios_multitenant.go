@@ -2,19 +2,18 @@
 // with mixed-class traffic and measure what the SLO-class machinery
 // buys — and what it costs. Three measurements per repetition:
 //
-//  1. Capacity: the best of three closed-loop classless runs fixes
-//     this machine's sustainable rate, so the overload point (1.5×)
-//     tracks the hardware instead of hard-coding a rate that one
-//     machine can't reach and another won't saturate.
+//  1. Capacity: a closed-loop classless run fixes this machine's
+//     sustainable rate, so the overload point (1.5×) tracks the
+//     hardware instead of hard-coding a rate that one machine can't
+//     reach and another won't saturate.
 //  2. Overload A/B: the same fixed request count paced open-loop at
-//     1.5× capacity, classless (fcfs, no admission) and classed
-//     (cascade queue, per-class admission, 20% critical / 40% standard
-//     / 40% sheddable), in interleaved runs (mtRunOrder). The classed
-//     side must hold the headline: critical's SLO attainment beats
-//     sheddable's by >30% while aggregate goodput (per CPU-second the
-//     process received, see goodputPerCPU) stays within 5% of the
-//     classless side — protection must come from shedding the right
-//     work, not from serving less of it.
+//     1.5× capacity, once classless (fcfs, no admission) and once
+//     classed (cascade queue, per-class admission, 20% critical /
+//     40% standard / 40% sheddable). The classed run must hold the
+//     headline: critical's SLO attainment beats sheddable's by >30%
+//     while aggregate goodput stays within 5% of the classless run —
+//     protection must come from shedding the right work, not from
+//     serving less of it.
 //  3. Disabled-overhead A/B: interleaved closed-loop batches against a
 //     multitenancy-enabled and a plain server, holding the machinery
 //     to the standing ≤2% loopback budget.
@@ -26,10 +25,8 @@ package bench
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
-	"syscall"
 	"time"
 
 	"concord/internal/live"
@@ -42,15 +39,13 @@ const (
 	mtSpin         = 20 * time.Microsecond
 	mtSubmitBuffer = 256
 
-	// Capacity probe: closed-loop, classless, best of mtCapProbes.
+	// Capacity probe: closed-loop, classless.
 	mtCapClients    = 4
-	mtCapReqsPerCli = 1000
-	mtCapProbes     = 3
+	mtCapReqsPerCli = 3000
 
-	// Overload runs: mtRequests submissions per side paced at 1.5×
-	// capacity, split evenly over that side's runs in mtRunOrder.
+	// Overload runs: fixed submission count paced at 1.5× capacity.
 	mtOverloadFactor = 1.5
-	mtRequests       = 48000
+	mtRequests       = 24000
 	mtPaceTick       = 2 * time.Millisecond
 
 	// slo_gap_x saturates here: the gate cares about "critical beats
@@ -62,11 +57,6 @@ const (
 	mtABBatches  = 8
 	mtABPerBatch = 300
 )
-
-// mtRunOrder interleaves the overload runs, classless (false) and
-// classed (true), ABBA twice, so contention that drifts across the
-// repetition lands on both sides alike.
-var mtRunOrder = [...]bool{false, true, true, false, false, true, true, false}
 
 // mtReq is the scenario's payload: a spin under an SLO class.
 type mtReq struct {
@@ -97,7 +87,7 @@ var mtClassPattern = [5]live.SLOClass{
 func LiveMultitenantScenario() Scenario {
 	return Scenario{
 		Name: "live_multitenant",
-		Describe: fmt.Sprintf("mixed-class overload at %.1fx measured capacity: %d workers, %d submissions a side (20%% critical / 40%% standard / 40%% sheddable, %v spins), cascade+admission vs classless fcfs, plus %d×%d interleaved disabled-overhead batches",
+		Describe: fmt.Sprintf("mixed-class overload at %.1fx measured capacity: %d workers, %d submissions (20%% critical / 40%% standard / 40%% sheddable, %v spins), cascade+admission vs classless fcfs, plus %d×%d interleaved disabled-overhead batches",
 			mtOverloadFactor, mtWorkers, mtRequests, mtSpin, mtABBatches, mtABPerBatch),
 		Metrics: map[string]MetricMeta{
 			"capacity_rps":          {Unit: "req/s", Better: "higher", Hermetic: false},
@@ -120,17 +110,13 @@ func runLiveMultitenant() (map[string]float64, error) {
 	}
 	rate := capacity * mtOverloadFactor
 
-	var classless, classed mtRunResult
-	for _, c := range mtRunOrder {
-		r, err := mtOverloadRun(rate, c, mtRequests/(len(mtRunOrder)/2))
-		if err != nil {
-			return nil, err
-		}
-		if c {
-			classed.add(r)
-		} else {
-			classless.add(r)
-		}
+	classless, err := mtOverloadRun(rate, false)
+	if err != nil {
+		return nil, err
+	}
+	classed, err := mtOverloadRun(rate, true)
+	if err != nil {
+		return nil, err
 	}
 	overhead, err := mtDisabledOverhead()
 	if err != nil {
@@ -148,9 +134,9 @@ func runLiveMultitenant() (map[string]float64, error) {
 	}
 	return map[string]float64{
 		"capacity_rps":          capacity,
-		"goodput_classed_rps":   classed.goodput(),
-		"goodput_classless_rps": classless.goodput(),
-		"goodput_ratio":         classed.goodputPerCPU() / classless.goodputPerCPU(),
+		"goodput_classed_rps":   classed.goodputRPS,
+		"goodput_classless_rps": classless.goodputRPS,
+		"goodput_ratio":         classed.goodputRPS / classless.goodputRPS,
 		"slo_gap_x":             gap,
 		"crit_slo_attainment":   critAtt,
 		"shed_frac":             classed.shedFrac(),
@@ -158,27 +144,9 @@ func runLiveMultitenant() (map[string]float64, error) {
 	}, nil
 }
 
-// mtMeasureCapacity runs the classless closed loop mtCapProbes times
-// and returns the best achieved rate — the definition of "capacity" the
-// overload multiplies. A stall on a shared host can only slow a probe
-// down, so the best probe is the one that measured the server rather
-// than the host; one slowed probe alone once set the "overload" below
-// the real capacity, and nothing queued.
+// mtMeasureCapacity runs the classless closed loop and returns its
+// achieved rate — the definition of "capacity" the overload multiplies.
 func mtMeasureCapacity() (float64, error) {
-	best := 0.0
-	for i := 0; i < mtCapProbes; i++ {
-		r, err := mtCapacityProbe()
-		if err != nil {
-			return 0, err
-		}
-		best = max(best, r)
-	}
-	return best, nil
-}
-
-// mtCapacityProbe is one closed-loop classless run; it returns the
-// achieved rate.
-func mtCapacityProbe() (float64, error) {
 	s := live.New(mtHandler{}, live.Options{
 		Workers:      mtWorkers,
 		Quantum:      mtQuantum,
@@ -209,48 +177,13 @@ func mtCapacityProbe() (float64, error) {
 	return float64(mtCapClients*mtCapReqsPerCli) / wall.Seconds(), nil
 }
 
-// mtRunResult is the tally of one or more overload runs.
+// mtRunResult is one overload run's tally.
 type mtRunResult struct {
-	completed int
-	wall      time.Duration
-	cpu       time.Duration // process CPU time over the runs
+	goodputRPS float64
 	// submitted / completed-within-objective / shed, per class.
 	submitted [live.NumClasses]int
 	withinSLO [live.NumClasses]int
 	shed      int
-}
-
-// add folds another run's tally into r.
-func (r *mtRunResult) add(o *mtRunResult) {
-	r.completed += o.completed
-	r.wall += o.wall
-	r.cpu += o.cpu
-	for c := range r.submitted {
-		r.submitted[c] += o.submitted[c]
-		r.withinSLO[c] += o.withinSLO[c]
-	}
-	r.shed += o.shed
-}
-
-// goodput is the successful completion rate over the runs' wall time.
-func (r *mtRunResult) goodput() float64 {
-	return float64(r.completed) / r.wall.Seconds()
-}
-
-// goodputPerCPU is the successful completions per second of CPU the
-// process received. Overloaded, both sides keep every CPU they get
-// busy, so on an idle host this ratio equals the wall-clock one; on a
-// shared host it discounts CPU lost to other processes, which moved the
-// wall-clock ratio 0.84–1.15× from one repetition to the next.
-func (r *mtRunResult) goodputPerCPU() float64 {
-	return float64(r.completed) / r.cpu.Seconds()
-}
-
-// processCPU returns the CPU time (user + system) this process has used.
-func processCPU() time.Duration {
-	var ru syscall.Rusage
-	syscall.Getrusage(syscall.RUSAGE_SELF, &ru)
-	return time.Duration(ru.Utime.Nano() + ru.Stime.Nano())
 }
 
 // attainment is the fraction of a class's submissions that completed
@@ -270,11 +203,11 @@ func (r *mtRunResult) shedFrac() float64 {
 	return 0
 }
 
-// mtOverloadRun paces n submissions open-loop at the given rate. With
-// classed=false every request is standard against a plain fcfs server
-// (the goodput baseline); with classed=true the 20/40/40 mix runs
-// against cascade + per-class admission.
-func mtOverloadRun(rate float64, classed bool, n int) (*mtRunResult, error) {
+// mtOverloadRun paces mtRequests submissions open-loop at the given
+// rate. With classed=false every request is standard against a plain
+// fcfs server (the goodput baseline); with classed=true the 20/40/40
+// mix runs against cascade + per-class admission.
+func mtOverloadRun(rate float64, classed bool) (*mtRunResult, error) {
 	opts := live.Options{
 		Workers:      mtWorkers,
 		Quantum:      mtQuantum,
@@ -292,15 +225,14 @@ func mtOverloadRun(rate float64, classed bool, n int) (*mtRunResult, error) {
 	// completions (Submit never blocks), buffering each response
 	// channel for a post-run drain — capacity-1 channels make the
 	// drain order irrelevant.
-	chans := make([]<-chan live.Response, 0, n)
-	classes := make([]live.SLOClass, n)
-	cpu0, start := processCPU(), time.Now()
-	for i := 0; i < n; {
-		// Due by the end of this tick, read off the clock rather than
-		// counted in ticks: a sleep that overshoots on a loaded host
-		// must not lower the offered rate below the overload point.
-		due := rate * (time.Since(start) + mtPaceTick).Seconds()
-		for i < n && float64(i) < due {
+	chans := make([]<-chan live.Response, 0, mtRequests)
+	classes := make([]live.SLOClass, mtRequests)
+	perTick := rate * mtPaceTick.Seconds()
+	start := time.Now()
+	var due float64
+	for i := 0; i < mtRequests; {
+		due += perTick
+		for i < mtRequests && float64(i) < due {
 			cl := live.ClassStandard
 			if classed {
 				cl = mtClassPattern[i%len(mtClassPattern)]
@@ -313,13 +245,14 @@ func mtOverloadRun(rate float64, classed bool, n int) (*mtRunResult, error) {
 	}
 
 	res := &mtRunResult{}
+	completed := 0
 	for i, ch := range chans {
 		resp := <-ch
 		cl := classes[i]
 		res.submitted[cl]++
 		switch {
 		case resp.Err == nil:
-			res.completed++
+			completed++
 			if resp.Latency <= cl.DefaultObjective() {
 				res.withinSLO[cl]++
 			}
@@ -327,23 +260,20 @@ func mtOverloadRun(rate float64, classed bool, n int) (*mtRunResult, error) {
 			res.shed++
 		}
 	}
-	res.wall, res.cpu = time.Since(start), processCPU()-cpu0
-	if res.completed == 0 {
+	wall := time.Since(start)
+	if completed == 0 {
 		return nil, fmt.Errorf("bench: live_multitenant overload run (classed=%v) completed nothing", classed)
 	}
+	res.goodputRPS = float64(completed) / wall.Seconds()
 	return res, nil
 }
 
 // mtDisabledOverhead interleaves closed-loop batches of classless
 // traffic against a multitenancy-enabled server and a plain one, and
-// returns the median-latency ratio (enabled / plain). The machinery's
+// returns the mean-latency ratio (enabled / plain). The machinery's
 // cost for a classless request is the admission probe, the cascade
 // tier lookup, and the per-class tail observe — the ratio holds them
-// to the standing ≤2% loopback budget. The median of each side's
-// request latencies carries that per-request cost in full, while a
-// few requests stalled for milliseconds on a shared host cannot move
-// it; the ratio of batch wall times it replaced swung 0.8–1.3× with
-// another process loading the CPUs (now 0.99–1.02×).
+// to the standing ≤2% loopback budget.
 func mtDisabledOverhead() (float64, error) {
 	newServer := func(enabled bool) *live.Server {
 		opts := live.Options{
@@ -368,40 +298,35 @@ func mtDisabledOverhead() (float64, error) {
 	defer plain.Stop()
 	defer full.Stop()
 
-	runBatch := func(s *live.Server, lat []time.Duration) ([]time.Duration, error) {
+	runBatch := func(s *live.Server) (float64, error) {
+		start := time.Now()
 		for i := 0; i < mtABPerBatch; i++ {
-			resp := s.Do(mtReq{spin: mtSpin})
-			if resp.Err != nil {
-				return nil, fmt.Errorf("bench: live_multitenant overhead batch failed: %w", resp.Err)
+			if resp := s.Do(mtReq{spin: mtSpin}); resp.Err != nil {
+				return 0, fmt.Errorf("bench: live_multitenant overhead batch failed: %w", resp.Err)
 			}
-			lat = append(lat, resp.Latency)
 		}
-		return lat, nil
+		return time.Since(start).Seconds(), nil
 	}
 	// Warm both paths, then interleave so thermal and GC drift land on
 	// both sides equally.
-	if _, err := runBatch(plain, nil); err != nil {
+	if _, err := runBatch(plain); err != nil {
 		return 0, err
 	}
-	if _, err := runBatch(full, nil); err != nil {
+	if _, err := runBatch(full); err != nil {
 		return 0, err
 	}
-	plainLat := make([]time.Duration, 0, mtABBatches*mtABPerBatch)
-	fullLat := make([]time.Duration, 0, mtABBatches*mtABPerBatch)
-	var err error
+	var plainTot, fullTot float64
 	for i := 0; i < mtABBatches; i++ {
-		if plainLat, err = runBatch(plain, plainLat); err != nil {
+		p, err := runBatch(plain)
+		if err != nil {
 			return 0, err
 		}
-		if fullLat, err = runBatch(full, fullLat); err != nil {
+		f, err := runBatch(full)
+		if err != nil {
 			return 0, err
 		}
+		plainTot += p
+		fullTot += f
 	}
-	return float64(median(fullLat)) / float64(median(plainLat)), nil
-}
-
-// median returns the middle element of xs, sorting it in place.
-func median(xs []time.Duration) time.Duration {
-	sort.Slice(xs, func(i, j int) bool { return xs[i] < xs[j] })
-	return xs[len(xs)/2]
+	return fullTot / plainTot, nil
 }

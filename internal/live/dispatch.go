@@ -158,7 +158,8 @@ func (s *Server) dispatcherLoop(sh *shard) {
 						continue
 					}
 					if epoch == sh.lastFlagged[i] {
-						// Signalled, and still running a quantum later.
+						// Already signalled; overdue while it still runs a
+						// quantum after the signal.
 						overdue = overdue || now-start >= 2*q
 						continue
 					}

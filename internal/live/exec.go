@@ -37,8 +37,6 @@ type executor struct {
 	epoch uint64
 	// sliceStart/sliceLen drive time-based self-preemption when a
 	// dispatcher runs tasks (there is nobody to write its flag, §3.3).
-	// On a worker they hold the slice's start and quantum, which a
-	// request reads to tell that its dispatcher is starved of CPU.
 	sliceStart time.Time
 	sliceLen   time.Duration
 }
@@ -70,7 +68,6 @@ func (s *Server) workerLoop(w int) {
 		epoch++ // epochs start at 1; flag value 0 means "no signal"
 		ex.epoch = epoch
 		now := time.Now()
-		ex.sliceStart, ex.sliceLen = now, s.quantumFor(t.class)
 		slot.set(epoch, t.id, now.Sub(s.base), t.class)
 		first := !t.started
 		if !t.started {
@@ -229,10 +226,7 @@ type Ctx struct {
 	noPreempt  int
 	yieldEvery int
 	polls      int
-	// starvedEpoch is the worker epoch whose slice last gave up its OS
-	// thread in yieldIfStarved, so that happens at most once a slice.
-	starvedEpoch uint64
-	spinSink     uint64
+	spinSink   uint64
 }
 
 // Worker returns the executor currently running the request: a worker
@@ -257,7 +251,6 @@ func (c *Ctx) Poll() {
 		if c.polls++; c.polls >= c.yieldEvery {
 			c.polls = 0
 			runtime.Gosched()
-			c.yieldIfStarved()
 		}
 	}
 	if c.noPreempt != 0 {
@@ -278,21 +271,6 @@ func (c *Ctx) Poll() {
 	c.ex = <-c.task.resume
 	if err := c.task.abortErr; err != nil {
 		panic(taskAbort{err})
-	}
-}
-
-// yieldIfStarved gives up the OS thread, once a slice, when the slice
-// has run two quanta without a preemption signal. The dispatcher's
-// thread is then most likely queued behind this one on the same CPU,
-// where Gosched cannot reach it (see osYield).
-func (c *Ctx) yieldIfStarved() {
-	ex := c.ex
-	if ex.id < 0 || ex.sliceLen <= 0 || c.starvedEpoch == ex.epoch || ex.flag.Load() == ex.epoch {
-		return
-	}
-	if time.Since(ex.sliceStart) >= 2*ex.sliceLen {
-		c.starvedEpoch = ex.epoch
-		osYield()
 	}
 }
 

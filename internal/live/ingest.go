@@ -4,13 +4,12 @@
 // round-robin across shards with fallback to any sibling with room.
 //
 // Admission is class-aware when Options.ClassAdmission is on: each
-// class has an occupancy watermark (Server.classLimit) and is rejected
-// once every shard has crossed it. Critical admits up to the full
-// ingress buffer; standard stops short of the critical reserve
-// (ErrQueueFull); sheddable is shed earliest (ErrShed), and counts the
-// shard's central-queue backlog as well as its buffer, so under
-// sustained overload sheddable load goes first and the buffers keep
-// headroom for critical arrivals. The occupancy probe reads
+// class has an ingress-occupancy watermark (Server.classLimit) and is
+// rejected once every shard's buffer has crossed it. Critical admits up
+// to the full buffer; standard stops short of the critical reserve
+// (ErrQueueFull); sheddable is shed earliest (ErrShed), so under
+// sustained overload the buffers drain sheddable load first and always
+// keep headroom for critical arrivals. The occupancy probe reads
 // len(chan), which is racy against concurrent submitters — the race
 // only ever misjudges by the handful of in-flight sends, and errs on
 // whichever side the interleaving lands, so the watermark holds in
@@ -150,14 +149,13 @@ func (s *Server) reject(t *task, err error, status int64) {
 // round-robin cursor and fall back to each sibling once.
 func (s *Server) enqueue(t *task) bool {
 	limit := s.classLimit[t.class]
-	backlog := s.opts.ClassAdmission && SLOClass(t.class) == ClassSheddable
 	if len(s.shards) == 1 {
-		sh := s.shards[0]
-		if sh.occupancy(backlog) >= limit {
+		ch := s.shards[0].submit
+		if len(ch) >= limit {
 			return false
 		}
 		select {
-		case sh.submit <- t:
+		case ch <- t:
 			return true
 		default:
 			return false
@@ -166,30 +164,15 @@ func (s *Server) enqueue(t *task) bool {
 	n := uint64(len(s.shards))
 	start := s.rr.Add(1)
 	for i := uint64(0); i < n; i++ {
-		sh := s.shards[(start+i)%n]
-		if sh.occupancy(backlog) >= limit {
+		ch := s.shards[(start+i)%n].submit
+		if len(ch) >= limit {
 			continue
 		}
 		select {
-		case sh.submit <- t:
+		case ch <- t:
 			return true
 		default:
 		}
 	}
 	return false
-}
-
-// occupancy is what an admission watermark is weighed against: the
-// shard's ingress buffer, plus its central queue when backlog is set
-// (sheddable under class admission). The dispatcher moves submissions
-// into the central queue as fast as it ingests them, so under sustained
-// overload the backlog builds there while the buffer stays nearly
-// empty; a shed watermark on the buffer alone fires only when a burst
-// outruns the dispatcher.
-func (sh *shard) occupancy(backlog bool) int {
-	n := len(sh.submit)
-	if backlog {
-		n += sh.q.Len()
-	}
-	return n
 }

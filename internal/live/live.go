@@ -742,15 +742,6 @@ func (s *Server) ClassQuantum(class int) time.Duration {
 	return time.Duration(s.classQuanta[class].Load())
 }
 
-// quantumFor is the quantum a slice of the class starts with: the
-// class override when set, the global quantum otherwise.
-func (s *Server) quantumFor(class uint8) time.Duration {
-	if cq := s.classQuanta[class].Load(); cq > 0 {
-		return time.Duration(cq)
-	}
-	return time.Duration(s.quantum.Load())
-}
-
 // SetPolicy switches the central-queue discipline at runtime: each
 // shard's dispatcher drains its policy queue into a fresh one of the
 // new discipline at a quiesce point (between dispatch decisions, under

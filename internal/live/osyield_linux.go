@@ -8,5 +8,5 @@ import "syscall"
 // it on the CPU of a thread already running a request while the other
 // CPU idles, and leave it there until its next load-balancing tick,
 // milliseconds later. The request and the dispatcher then take turns
-// at that tick's pace unless one of them yields.
+// at that tick's pace unless the dispatcher yields.
 func osYield() { syscall.Syscall(syscall.SYS_SCHED_YIELD, 0, 0, 0) }
